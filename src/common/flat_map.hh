@@ -17,6 +17,7 @@
 #ifndef MTRAP_COMMON_FLAT_MAP_HH
 #define MTRAP_COMMON_FLAT_MAP_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -61,7 +62,7 @@ class FlatWordMap
     void put(std::uint64_t key, std::uint64_t value)
     {
         if ((size_ + 1) * 4 > slots_.size() * 3)
-            grow();
+            rebuild(slots_.size() * 2, dropNone);
         for (std::size_t i = hash(key) & mask_;; i = (i + 1) & mask_) {
             Slot &s = slots_[i];
             if (s.key == key) {
@@ -78,6 +79,18 @@ class FlatWordMap
     }
 
     /**
+     * Make room for `n` keys in total, so that putting up to `n` keys
+     * rehashes at most once (here) rather than once per doubling. Never
+     * shrinks. Lookups observe only the stored set, which is unchanged.
+     */
+    void reserve(std::size_t n)
+    {
+        const std::size_t cap = capacityFor(n);
+        if (cap > slots_.size())
+            rebuild(cap, dropNone);
+    }
+
+    /**
      * Drop every (key, value) for which `pred` holds, by rebuilding in
      * place (no tombstones). O(capacity); intended for rare cleanups.
      * The surviving set — the only thing lookups can observe — matches
@@ -86,12 +99,7 @@ class FlatWordMap
     template <typename Pred>
     void eraseIf(Pred &&pred)
     {
-        SlotVec old = std::move(slots_);
-        slots_.assign(old.size(), Slot{kEmptyKey, 0});
-        size_ = 0;
-        for (const Slot &s : old)
-            if (s.key != kEmptyKey && !pred(s.key, s.value))
-                put(s.key, s.value);
+        rebuild(slots_.size(), pred);
     }
 
     /**
@@ -107,10 +115,13 @@ class FlatWordMap
                 fn(s.key, s.value);
     }
 
-    /** Drop every entry, keeping the current capacity. */
-    void clear()
+    /** Drop every entry, keeping the current capacity but growing it
+     *  to hold `n` keys (see reserve) — one table fill either way. */
+    void clear(std::size_t n = 0)
     {
-        slots_.assign(slots_.size(), Slot{kEmptyKey, 0});
+        slots_.assign(std::max(slots_.size(), capacityFor(n)),
+                      Slot{kEmptyKey, 0});
+        mask_ = slots_.size() - 1;
         size_ = 0;
     }
 
@@ -123,14 +134,29 @@ class FlatWordMap
 
     static std::uint64_t hash(std::uint64_t z) { return mix64(z); }
 
-    void grow()
+    /** Smallest power-of-two slot count (at least 16) that holds `n`
+     *  keys within put()'s 3/4 load limit. */
+    static std::size_t capacityFor(std::size_t n)
+    {
+        std::size_t cap = 16;
+        while (cap * 3 < n * 4)
+            cap <<= 1;
+        return cap;
+    }
+
+    static bool dropNone(std::uint64_t, std::uint64_t) { return false; }
+
+    /** The one rehash: move every entry for which `drop` is false into
+     *  a fresh table of `cap` (a power of two) slots. */
+    template <typename Pred>
+    void rebuild(std::size_t cap, Pred &&drop)
     {
         SlotVec old = std::move(slots_);
-        slots_.assign(old.size() * 2, Slot{kEmptyKey, 0});
-        mask_ = slots_.size() - 1;
+        slots_.assign(cap, Slot{kEmptyKey, 0});
+        mask_ = cap - 1;
         size_ = 0;
         for (const Slot &s : old)
-            if (s.key != kEmptyKey)
+            if (s.key != kEmptyKey && !drop(s.key, s.value))
                 put(s.key, s.value);
     }
 

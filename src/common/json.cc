@@ -36,8 +36,22 @@ class JsonParser
             return false;
         }
         switch (s_[pos_]) {
-          case '{': return object(out, err);
-          case '[': return array(out, err);
+          case '{':
+          case '[': {
+            // Every nesting level is a recursion, so bound it before a
+            // hostile document can exhaust the stack.
+            if (depth_ == kMaxJsonDepth) {
+                err = "nesting deeper than "
+                      + std::to_string(kMaxJsonDepth) + " at offset "
+                      + std::to_string(pos_);
+                return false;
+            }
+            ++depth_;
+            const bool ok = s_[pos_] == '{' ? object(out, err)
+                                            : array(out, err);
+            --depth_;
+            return ok;
+          }
           case '"':
             out.kind = JsonValue::Kind::String;
             return string(out.string, err);
@@ -219,6 +233,7 @@ class JsonParser
 
     const std::string &s_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0;
 };
 
 } // namespace

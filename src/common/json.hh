@@ -11,6 +11,7 @@
 #ifndef MTRAP_COMMON_JSON_HH
 #define MTRAP_COMMON_JSON_HH
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -48,9 +49,13 @@ struct JsonValue
     }
 };
 
+/** Deepest object/array nesting parseJson accepts. */
+constexpr std::size_t kMaxJsonDepth = 256;
+
 /**
  * Parse `text` (an entire document) into `out`. Returns false and sets
- * `err` on malformed input; trailing non-whitespace is an error.
+ * `err` on malformed input; trailing non-whitespace and nesting deeper
+ * than kMaxJsonDepth are errors.
  */
 bool parseJson(const std::string &text, JsonValue &out, std::string &err);
 

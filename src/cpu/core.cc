@@ -573,14 +573,6 @@ Core::findBufferedStore(Addr vaddr) const
     return nullptr;
 }
 
-std::uint64_t
-Core::functionalLoad(Addr vaddr)
-{
-    if (const BufferedStore *s = findBufferedStore(vaddr))
-        return s->value;
-    return memRead(vaddr);
-}
-
 void
 Core::bufferStore(Addr vaddr, std::uint64_t value, SeqNum seq)
 {

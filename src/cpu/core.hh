@@ -352,8 +352,6 @@ class Core
                        bool tlb_missed, Cycle when);
     void memCommitIfetch(Addr vaddr, Cycle when);
 
-    /** Functional memory read honouring the in-window store buffer. */
-    std::uint64_t functionalLoad(Addr vaddr);
     void bufferStore(Addr vaddr, std::uint64_t value, SeqNum seq);
     void unbufferStoresAfter(SeqNum first_squashed);
     void releaseStore(Addr vaddr, SeqNum seq, std::uint64_t value);

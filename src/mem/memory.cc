@@ -78,8 +78,9 @@ MainMemory::saveState(Serializer &s) const
 void
 MainMemory::restoreState(Deserializer &d)
 {
-    store_.clear();
     const std::uint64_t n = d.u64();
+    d.checkCount(n, 16);
+    store_.clear(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
         const std::uint64_t k = d.u64();
         const std::uint64_t v = d.u64();

@@ -78,6 +78,10 @@ class MainMemory
     /** Number of distinct words ever written. */
     std::size_t footprintWords() const { return store_.size(); }
 
+    /** Size the word store for `n` more words than it holds now, so a
+     *  bulk initialisation of up to `n` new words rehashes at most once. */
+    void reserveWords(std::size_t n) { store_.reserve(store_.size() + n); }
+
     const MemoryParams &params() const { return params_; }
 
     /** Checkpoint the word store (sorted by address for deterministic

@@ -106,6 +106,10 @@ class MemSystem final : public MemIface, public PtwAccessIface
         return readMiss(core, asid, vaddr);
     }
 
+    /** Size the functional word store for `n` more words before a bulk
+     *  initialisation through write() (see MainMemory::reserveWords). */
+    void reserveWords(std::size_t n) { mem_->reserveWords(n); }
+
     // --- PtwAccessIface -----------------------------------------------------
     /** Walker PTE read: a physically-addressed load down the data path
      *  of the issuing core (acc.core). */

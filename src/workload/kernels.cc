@@ -53,6 +53,18 @@ chaseBase(unsigned thread_id)
            + thread_id * WorkloadLayout::kThreadStride;
 }
 
+/** Words (one per line-sized node) in one thread's pointer-chase
+ *  ring; 0 when the profile chases no pointers. */
+std::uint64_t
+chaseRingNodes(const WorkloadProfile &p)
+{
+    if (!p.chaseOps && !p.indirectOps)
+        return 0;
+    const std::uint64_t bytes = p.chaseBytes ? p.chaseBytes
+                                             : p.dataFootprint;
+    return std::max<std::uint64_t>(2, bytes / kLineBytes);
+}
+
 /** Emits one loop body worth of kernel fragments in a shuffled,
  *  deterministic interleave. */
 class BodyEmitter
@@ -351,12 +363,9 @@ void
 initChaseRing(MemSystem &mem, Asid asid, const WorkloadProfile &p,
               unsigned thread_id)
 {
-    if (!p.chaseOps && !p.indirectOps)
+    const std::uint64_t nodes = chaseRingNodes(p);
+    if (!nodes)
         return;
-    const std::uint64_t bytes = p.chaseBytes ? p.chaseBytes
-                                             : p.dataFootprint;
-    const std::uint64_t nodes =
-        std::max<std::uint64_t>(2, bytes / kLineBytes);
     const Addr base = chaseBase(thread_id);
 
     // Sattolo's algorithm: a single-cycle random permutation.
@@ -383,7 +392,12 @@ buildWorkload(const WorkloadProfile &profile, Asid asid)
         w.threadPrograms.push_back(buildThreadProgram(profile, t));
     WorkloadProfile p = profile;
     w.init = [p, asid](MemSystem &mem) {
-        for (unsigned t = 0; t < std::max(1u, p.threads); ++t)
+        const unsigned threads = std::max(1u, p.threads);
+        // Size the word store for every thread's ring up front: one
+        // rehash instead of one per doubling (per thread).
+        mem.reserveWords(static_cast<std::size_t>(chaseRingNodes(p))
+                         * threads);
+        for (unsigned t = 0; t < threads; ++t)
             initChaseRing(mem, asid, p, t);
     };
     return w;

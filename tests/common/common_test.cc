@@ -1,13 +1,17 @@
 /**
  * @file
  * Unit tests for the common runtime: types helpers, logging format,
- * statistics and the deterministic RNG.
+ * statistics, the deterministic RNG and the flat word map.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
+#include <vector>
 
+#include "common/flat_map.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -246,6 +250,95 @@ TEST(Rng, RoughlyUniform)
         EXPECT_GT(b, n / 4 - n / 20);
         EXPECT_LT(b, n / 4 + n / 20);
     }
+}
+
+// --- FlatWordMap ------------------------------------------------------------
+
+/** Every (key, value) in `m`, sorted (forEach order is unspecified). */
+std::vector<std::pair<std::uint64_t, std::uint64_t>>
+contents(const FlatWordMap &m)
+{
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> kv;
+    m.forEach([&](std::uint64_t k, std::uint64_t v) {
+        kv.emplace_back(k, v);
+    });
+    std::sort(kv.begin(), kv.end());
+    return kv;
+}
+
+/** Put `n` seeded (key, value)s; keys come from a range of 3n/2, so
+ *  about a third of the puts overwrite an earlier key. */
+void
+putSeeded(FlatWordMap &m, std::uint64_t seed, unsigned n)
+{
+    Rng r(seed);
+    for (unsigned i = 0; i < n; ++i)
+        m.put(r.below(3 * n / 2) * 8, r.next() >> 1);
+}
+
+/** `m` answers exactly as `ref` does: same size, same lookups (hits
+ *  and misses) and the same key/value set. */
+void
+expectSameMap(const FlatWordMap &m, const FlatWordMap &ref,
+              std::uint64_t key_range)
+{
+    EXPECT_EQ(m.size(), ref.size());
+    for (std::uint64_t k = 0; k < key_range; ++k) {
+        const std::uint64_t *a = m.find(k * 8);
+        const std::uint64_t *b = ref.find(k * 8);
+        ASSERT_EQ(a == nullptr, b == nullptr) << "key " << k * 8;
+        if (a) {
+            EXPECT_EQ(*a, *b) << "key " << k * 8;
+        }
+    }
+    EXPECT_EQ(contents(m), contents(ref));
+}
+
+TEST(FlatWordMap, ReserveOnEmptyMapMatchesUnreserved)
+{
+    constexpr unsigned kPuts = 5000;
+    FlatWordMap ref(16);
+    putSeeded(ref, 3, kPuts);
+
+    FlatWordMap m(16);
+    m.reserve(kPuts);
+    putSeeded(m, 3, kPuts);
+    expectSameMap(m, ref, 2 * kPuts);
+    EXPECT_GT(ref.size(), kPuts / 2);
+    EXPECT_LT(ref.size(), kPuts); // some puts overwrote
+}
+
+TEST(FlatWordMap, ReserveOnHalfFullMapKeepsEntriesAndMatches)
+{
+    constexpr unsigned kPuts = 4000;
+    FlatWordMap ref(16);
+    putSeeded(ref, 5, kPuts);
+    putSeeded(ref, 6, kPuts); // overwrites and new keys alike
+
+    FlatWordMap m(16);
+    putSeeded(m, 5, kPuts);
+    const auto before = contents(m);
+    m.reserve(m.size() + 2 * kPuts);
+    EXPECT_EQ(contents(m), before);
+    m.reserve(1); // never shrinks
+    EXPECT_EQ(contents(m), before);
+    putSeeded(m, 6, kPuts);
+    expectSameMap(m, ref, 2 * kPuts);
+}
+
+TEST(FlatWordMap, ClearWithReservationEmptiesThenMatches)
+{
+    constexpr unsigned kPuts = 3000;
+    FlatWordMap ref(16);
+    putSeeded(ref, 9, kPuts);
+
+    FlatWordMap m(16);
+    putSeeded(m, 8, 100);
+    m.clear(kPuts);
+    EXPECT_EQ(m.size(), 0u);
+    EXPECT_TRUE(contents(m).empty());
+    putSeeded(m, 9, kPuts);
+    expectSameMap(m, ref, 2 * kPuts);
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include <limits>
 #include <sstream>
 
+#include "common/json.hh"
 #include "perf/bench_compare.hh"
 #include "perf/perf_suite.hh"
 
@@ -256,6 +257,29 @@ TEST(BenchCompare, RejectsMalformedOrForeignJson)
     EXPECT_TRUE(parseBenchJson(
         "{\"schema\": \"mtrap-bench-v1\", \"scenarios\": []}", f, err))
         << err;
+}
+
+TEST(BenchCompare, RejectsPathologicalNestingWithAnOffset)
+{
+    // A downloaded artifact of 200000 '[' must fail to parse, not
+    // exhaust the stack; the error names where the limit was hit.
+    const std::string deep(200000, '[');
+    JsonValue v;
+    std::string err;
+    EXPECT_FALSE(parseJson(deep, v, err));
+    EXPECT_NE(err.find("offset " + std::to_string(kMaxJsonDepth)),
+              std::string::npos)
+        << err;
+    BenchFile f;
+    EXPECT_FALSE(parseBenchJson(deep, f, err));
+
+    // The limit itself is accepted; one level more is not.
+    const auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_TRUE(parseJson(nested(kMaxJsonDepth), v, err)) << err;
+    EXPECT_FALSE(parseJson(nested(kMaxJsonDepth + 1), v, err));
+    EXPECT_FALSE(parseJson(std::string(kMaxJsonDepth + 1, '{'), v, err));
 }
 
 } // namespace

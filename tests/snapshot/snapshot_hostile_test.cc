@@ -191,6 +191,23 @@ TEST(SnapshotHostile, OversizedElementCountRejected)
     EXPECT_THROW(d.vec(sink), SnapshotError);
 }
 
+TEST(SnapshotHostile, OversizedWordStoreCountRejected)
+{
+    // The MemSystem section opens with main memory's word count, and
+    // restore sizes the word store from it: a resealed count of 2^60
+    // must be refused by checkCount before any table is allocated
+    // (SnapshotError, not bad_alloc or length_error).
+    std::vector<std::uint8_t> img = makeImage();
+    std::uint32_t tag = 0;
+    std::uint64_t words = 0;
+    std::memcpy(&tag, img.data() + kHeaderBytes, 4);
+    std::memcpy(&words, img.data() + kHeaderBytes + 12, 8);
+    ASSERT_EQ(tag, kTagMemSystem);
+    ASSERT_GT(words, 0u); // gcc's pointer-chase ring
+    patchAndReseal(img, kHeaderBytes + 12, 1ull << 60, 8);
+    expectRejected(img, "oversized word-store count");
+}
+
 TEST(SnapshotHostile, ImplausibleOccupancyRejected)
 {
     // Valid framing, correct fingerprints, resealed CRC — but a

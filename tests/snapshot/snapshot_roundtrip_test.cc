@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
 #include "sim/json_stats.hh"
 #include "sim/runner.hh"
 #include "sim/system.hh"
@@ -260,6 +261,57 @@ TEST(SnapshotRoundTrip, SaveIsReadOnly)
     sys.run(3'000);
     witness.run(3'000);
     ASSERT_EQ(statsJson(sys), statsJson(witness));
+}
+
+/** Bit-at-a-time CRC-32 (reflected 0xedb88320): the definition the
+ *  table-driven crc32 must reproduce. */
+std::uint32_t
+bitwiseCrc32(const std::uint8_t *p, std::size_t n, std::uint32_t crc = 0)
+{
+    crc = ~crc;
+    for (std::size_t i = 0; i < n; ++i) {
+        crc ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return ~crc;
+}
+
+TEST(SnapshotCrc, MatchesCheckValueAndBitwiseReference)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xcbf43926u);
+    EXPECT_EQ(crc32(nullptr, 0), 0u);
+
+    // Every short length at every alignment covers the eight-byte
+    // steps and each tail length on either side of them.
+    std::vector<std::uint8_t> buf(1 << 20);
+    Rng r(99);
+    for (std::uint8_t &b : buf)
+        b = static_cast<std::uint8_t>(r.next());
+    for (std::size_t off = 0; off < 8; ++off)
+        for (std::size_t len = 0; len <= 64; ++len)
+            ASSERT_EQ(crc32(buf.data() + off, len),
+                      bitwiseCrc32(buf.data() + off, len))
+                << "offset " << off << " length " << len;
+    EXPECT_EQ(crc32(buf.data(), buf.size()),
+              bitwiseCrc32(buf.data(), buf.size()));
+    EXPECT_EQ(crc32(buf.data() + 3, buf.size() - 5),
+              bitwiseCrc32(buf.data() + 3, buf.size() - 5));
+}
+
+TEST(SnapshotCrc, ChainsAcrossSplits)
+{
+    std::vector<std::uint8_t> buf(4099);
+    Rng r(7);
+    for (std::uint8_t &b : buf)
+        b = static_cast<std::uint8_t>(r.next());
+    const std::uint32_t whole = crc32(buf.data(), buf.size());
+    for (const std::size_t na : {0, 1, 7, 8, 9, 1000, 4096, 4099}) {
+        const std::size_t nb = buf.size() - na;
+        EXPECT_EQ(crc32(buf.data() + na, nb, crc32(buf.data(), na)),
+                  whole)
+            << "split at " << na;
+    }
 }
 
 } // namespace

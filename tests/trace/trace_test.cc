@@ -393,6 +393,7 @@ TEST(ChromeTraceValidator, RejectsMalformedDocuments)
 {
     std::string err;
     EXPECT_FALSE(validateChromeTrace("not json", err));
+    EXPECT_FALSE(validateChromeTrace(std::string(200000, '['), err));
     EXPECT_FALSE(validateChromeTrace("[]", err))
         << "top level must be an object";
     EXPECT_FALSE(validateChromeTrace("{\"traceEvents\": 7}", err));

@@ -1,0 +1,50 @@
+#!/usr/bin/env bash
+# Hostile command-line input through the real tools: each case must be
+# refused with an ordinary nonzero exit (an error message, not a crash
+# by signal, and not a printed result).
+#
+#   - mtrap_sim --cores 0 is a usage error (exit 1);
+#   - a JSON document nested 200000 levels deep is a parse error for
+#     mtrap_trace --validate and mtrap_perf --compare-only.
+#
+# Usage: check_hostile_cli.sh MTRAP_SIM MTRAP_TRACE MTRAP_PERF
+set -u
+sim="${1:?usage: check_hostile_cli.sh MTRAP_SIM MTRAP_TRACE MTRAP_PERF}"
+trace="${2:?usage: check_hostile_cli.sh MTRAP_SIM MTRAP_TRACE MTRAP_PERF}"
+perf="${3:?usage: check_hostile_cli.sh MTRAP_SIM MTRAP_TRACE MTRAP_PERF}"
+
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+status=0
+
+# expect_exit WANT NAME CMD...: WANT is an exact code, or "error" for
+# any code in 1..127 (128 and above means killed by a signal).
+expect_exit() {
+    local want="$1" name="$2"
+    shift 2
+    "$@" > "$tmp/out" 2>&1
+    local got=$?
+    if [ "$want" = error ]; then
+        [ "$got" -ge 1 ] && [ "$got" -le 127 ] && return 0
+    elif [ "$got" -eq "$want" ]; then
+        return 0
+    fi
+    echo "check_hostile_cli: $name: exit $got, wanted $want"
+    tail -5 "$tmp/out"
+    status=1
+}
+
+expect_exit 1 "mtrap_sim --cores 0" \
+    "$sim" --workload mcf --timeshare gcc --cores 0 \
+    --instructions 1000 --warmup 100
+expect_exit 1 "mtrap_sim --cores 0 (no time-sharing)" \
+    "$sim" --workload mcf --cores 0 --instructions 1000 --warmup 100
+
+head -c 200000 /dev/zero | tr '\0' '[' > "$tmp/deep.json"
+expect_exit error "mtrap_trace --validate on deep JSON" \
+    "$trace" --validate "$tmp/deep.json"
+expect_exit error "mtrap_perf --compare-only on deep JSON" \
+    "$perf" --compare-only "$tmp/deep.json" "$tmp/deep.json"
+
+[ "$status" -eq 0 ] && echo "check_hostile_cli: all cases refused cleanly"
+exit "$status"

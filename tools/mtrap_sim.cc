@@ -31,8 +31,8 @@
  *   --timeshare NAME     add another workload to time-share the machine
  *                        with --workload (repeatable); enables the gang
  *                        scheduler, each job in its own address space
- *   --cores N            cores to schedule across (default 4 when
- *                        time-sharing; raised to the widest job)
+ *   --cores N            cores to schedule across, at least 1 (default
+ *                        4 when time-sharing; raised to the widest job)
  *   --quantum CYCLES     scheduler time slice (default 50000)
  *   --no-gang            place multi-threaded jobs without gang
  *                        (slot-aligned) co-scheduling
@@ -93,6 +93,7 @@
 #include <cstdlib>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -245,7 +246,13 @@ runTool(int argc, char **argv)
         } else if (arg == "--timeshare") {
             timeshare.push_back(next());
         } else if (arg == "--cores") {
-            cores = static_cast<unsigned>(parseNumber(next()));
+            const std::uint64_t n = parseNumber(next());
+            if (n == 0 || n > std::numeric_limits<unsigned>::max()) {
+                std::fprintf(stderr, "mtrap_sim: --cores must be a "
+                                     "positive core count\n");
+                usage();
+            }
+            cores = static_cast<unsigned>(n);
         } else if (arg == "--quantum") {
             sched.quantum = parseNumber(next());
         } else if (arg == "--no-gang") {
