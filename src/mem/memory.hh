@@ -57,9 +57,10 @@ class MainMemory
      *  every functional load in every core lands here — though core
      *  loads normally arrive through MemSystem's per-core line-keyed
      *  word cache (MemSystem::read(core, asid, vaddr)), which probes
-     *  this store only on a word miss and is invalidated through
-     *  MemSystem::write. Writers that bypass MemSystem::write must not
-     *  coexist with that cache. */
+     *  this store only on a word miss and is kept coherent by
+     *  MemSystem::write (per word) and MemSystem::writeWords (drops
+     *  the caches once per bulk write). Writers that bypass both must
+     *  not coexist with that cache. */
     std::uint64_t read(Addr addr) const
     {
         const Addr word = addr & ~static_cast<Addr>(7);
@@ -73,6 +74,13 @@ class MainMemory
     void write(Addr addr, std::uint64_t value)
     {
         store_.put(addr & ~static_cast<Addr>(7), value);
+    }
+
+    /** Hint that the word containing `addr` is written soon (see
+     *  FlatWordMap::prefetch). */
+    void prefetchWord(Addr addr) const
+    {
+        store_.prefetch(addr & ~static_cast<Addr>(7));
     }
 
     /** Number of distinct words ever written. */

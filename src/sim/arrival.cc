@@ -140,6 +140,8 @@ ArrivalInjector::admitUpTo(Cycle now)
 {
     unsigned n = 0;
     while (next_ < events_.size() && events_[next_].at <= now) {
+        if (next_ == 0)
+            reserveScheduleWords();
         admitOne(events_[next_], next_);
         ++next_;
         ++n;
@@ -159,6 +161,15 @@ ArrivalInjector::replayAdmissions(std::size_t n)
         admitOne(events_[next_], next_);
         ++next_;
     }
+}
+
+void
+ArrivalInjector::reserveScheduleWords()
+{
+    std::uint64_t words = 0;
+    for (const ArrivalEvent &e : events_)
+        words += initWords(resolveProfile(e.profile));
+    sys_.mem().reserveWords(static_cast<std::size_t>(words));
 }
 
 void

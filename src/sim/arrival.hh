@@ -132,6 +132,12 @@ class ArrivalInjector : public ArrivalSource
     void replayAdmissions(std::size_t n);
 
   private:
+    /** Size the word store for every job of the schedule (initWords
+     *  each), so admissions do not rehash it as it grows. Called at the
+     *  first admission, inside the run rather than at set-up; a
+     *  snapshot replay needs none (restore sizes the store from the
+     *  image). */
+    void reserveScheduleWords();
     void admitOne(const ArrivalEvent &e, std::size_t index);
 
     System &sys_;

@@ -163,8 +163,7 @@ MemSystem::restoreState(Deserializer &d)
     }
     // The word caches are transparent; drop them rather than carrying
     // their contents across the snapshot boundary.
-    for (FuncReadCache &fc : funcCache_)
-        fc = FuncReadCache{};
+    dropWordCaches();
 }
 
 // --------------------------------------------------------------------------
@@ -882,6 +881,39 @@ MemSystem::write(Asid asid, Addr vaddr, std::uint64_t value)
             if (l.paBase == pa_line)
                 l.mask &= static_cast<std::uint8_t>(~bit);
     mem_->write(paddr, value);
+}
+
+void
+MemSystem::writeWords(Asid asid, Addr vbase, Addr stride,
+                      const std::uint64_t *values, std::size_t n)
+{
+    // Translate each word kAhead words before writing it and hint its
+    // store slot then, so the put finds the slot's line on its way in.
+    // The small ring holds the translations in flight.
+    constexpr std::size_t kAhead = 8;
+    std::array<Addr, kAhead> pa;
+    auto issue = [&](std::size_t i) {
+        const Addr a = vm_.translate(asid, vbase + i * stride);
+        mem_->prefetchWord(a);
+        pa[i % kAhead] = a;
+    };
+    for (std::size_t i = 0; i < std::min(n, kAhead); ++i)
+        issue(i);
+    for (std::size_t i = 0; i < n; ++i) {
+        const Addr paddr = pa[i % kAhead];
+        if (i + kAhead < n)
+            issue(i + kAhead);
+        mem_->write(paddr, values[i]);
+    }
+    // One wholesale drop stands in for write()'s per-word scan.
+    dropWordCaches();
+}
+
+void
+MemSystem::dropWordCaches()
+{
+    for (FuncReadCache &fc : funcCache_)
+        fc = FuncReadCache{};
 }
 
 } // namespace mtrap

@@ -106,8 +106,20 @@ class MemSystem final : public MemIface, public PtwAccessIface
         return readMiss(core, asid, vaddr);
     }
 
+    /**
+     * Functional bulk write: `values[i]`, i < n, goes to vaddr
+     * `vbase + i * stride` of `asid`. Same result as calling write()
+     * once per word in order, but the functional word caches are
+     * dropped once at the end (they are transparent, as on restore)
+     * instead of being scanned per word, and each word's store slot is
+     * prefetched a few words ahead. (A pointer and a count, not a
+     * std::span: this header is also built as C++17.)
+     */
+    void writeWords(Asid asid, Addr vbase, Addr stride,
+                    const std::uint64_t *values, std::size_t n);
+
     /** Size the functional word store for `n` more words before a bulk
-     *  initialisation through write() (see MainMemory::reserveWords). */
+     *  initialisation (see MainMemory::reserveWords). */
     void reserveWords(std::size_t n) { mem_->reserveWords(n); }
 
     // --- PtwAccessIface -----------------------------------------------------
@@ -180,6 +192,10 @@ class MemSystem final : public MemIface, public PtwAccessIface
     /** Word-cache fill/replace path behind the inline read() fast
      *  path: line scan, LRU tag fill, lazy word probe. */
     std::uint64_t readMiss(CoreId core, Asid asid, Addr vaddr);
+
+    /** Empty every core's functional word cache (transparent: the
+     *  next reads refill from the store). */
+    void dropWordCaches();
 
     /** Post-translation data walk (also the page-table walker's entry
      *  point, where vaddr == paddr). */

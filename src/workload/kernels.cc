@@ -376,10 +376,17 @@ initChaseRing(MemSystem &mem, Asid asid, const WorkloadProfile &p,
     for (std::uint64_t i = nodes - 1; i > 0; --i)
         std::swap(next[i], next[rng.below(i)]);
     // next[] is now a permutation with one cycle through all nodes when
-    // read as succ(i) = next[i]; write the ring into memory.
-    for (std::uint64_t i = 0; i < nodes; ++i)
-        mem.write(asid, base + i * kLineBytes,
-                  base + next[i] * kLineBytes);
+    // read as succ(i) = next[i]; turn it into node i's pointer value in
+    // place and write the ring into memory in one bulk call.
+    for (std::uint64_t &succ : next)
+        succ = base + succ * kLineBytes;
+    mem.writeWords(asid, base, kLineBytes, next.data(), next.size());
+}
+
+std::uint64_t
+initWords(const WorkloadProfile &p)
+{
+    return chaseRingNodes(p) * std::max(1u, p.threads);
 }
 
 Workload
@@ -392,12 +399,10 @@ buildWorkload(const WorkloadProfile &profile, Asid asid)
         w.threadPrograms.push_back(buildThreadProgram(profile, t));
     WorkloadProfile p = profile;
     w.init = [p, asid](MemSystem &mem) {
-        const unsigned threads = std::max(1u, p.threads);
         // Size the word store for every thread's ring up front: one
         // rehash instead of one per doubling (per thread).
-        mem.reserveWords(static_cast<std::size_t>(chaseRingNodes(p))
-                         * threads);
-        for (unsigned t = 0; t < threads; ++t)
+        mem.reserveWords(static_cast<std::size_t>(initWords(p)));
+        for (unsigned t = 0; t < std::max(1u, p.threads); ++t)
             initChaseRing(mem, asid, p, t);
     };
     return w;

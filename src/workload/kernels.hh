@@ -140,6 +140,10 @@ Program buildThreadProgram(const WorkloadProfile &profile,
 void initChaseRing(MemSystem &mem, Asid asid, const WorkloadProfile &p,
                    unsigned thread_id);
 
+/** Words buildWorkload(profile)'s init writes: every thread's chase
+ *  ring. Callers size the word store with it before admitting jobs. */
+std::uint64_t initWords(const WorkloadProfile &profile);
+
 } // namespace mtrap
 
 #endif // MTRAP_WORKLOAD_KERNELS_HH

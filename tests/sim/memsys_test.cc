@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/mem_system.hh"
 
 namespace mtrap
@@ -305,6 +307,59 @@ TEST(MemSysFunc, SharedAliasGivesSharedData)
     rig.ms->addressSpace().alias(2, 0x20000, 0x77000000, kPageBytes);
     rig.ms->write(1, 0x10040, 99);
     EXPECT_EQ(rig.ms->read(2, 0x20040), 99u);
+}
+
+// writeWords must leave the same memory as one write() per word, in
+// order, on a 4-core machine whose cores hold written words in their
+// functional word caches, directly and through a cross-asid alias.
+TEST(MemSysFunc, WriteWordsMatchesPerWordWrites)
+{
+    constexpr Asid kB = 2;
+    constexpr Addr kBase = 0x10000;    // kA's view of the pages
+    constexpr Addr kAliasVa = 0x50000; // kB's view of the same pages
+    constexpr Addr kStride = 24;       // several words per line, 4 pages
+    constexpr std::size_t kWords = 600;
+    Rig bulk(MuonTrapConfig::full(), 4);
+    Rig twin(MuonTrapConfig::full(), 4);
+    for (Rig *r : {&bulk, &twin}) {
+        r->ms->addressSpace().alias(kA, kBase, 0x77000000,
+                                    4 * kPageBytes);
+        r->ms->addressSpace().alias(kB, kAliasVa, 0x77000000,
+                                    4 * kPageBytes);
+    }
+    std::vector<std::uint64_t> values;
+    for (std::uint64_t i = 0; i < kWords; ++i)
+        values.push_back(0x1000 + i * 7);
+    const Addr va5 = kBase + 5 * kStride;
+    const Addr alias40 = kAliasVa + 40 * kStride;
+    // Core 2 caches a word before the write; core 3 caches another
+    // through the alias.
+    const std::uint64_t before5 = bulk.ms->read(2, kA, va5);
+    const std::uint64_t before40 = bulk.ms->read(3, kB, alias40);
+
+    bulk.ms->writeWords(kA, kBase, kStride, values.data(), kWords);
+    for (std::size_t i = 0; i < kWords; ++i)
+        twin.ms->write(kA, kBase + i * kStride, values[i]);
+    // Stride 0 puts every word on one address: the last one wins.
+    const std::uint64_t same[] = {1, 2, 3};
+    bulk.ms->writeWords(kB, kAliasVa, 0, same, 3);
+    for (std::uint64_t v : same)
+        twin.ms->write(kB, kAliasVa, v);
+
+    EXPECT_EQ(bulk.ms->memory().footprintWords(),
+              twin.ms->memory().footprintWords());
+    for (std::size_t i = 0; i < kWords; ++i) {
+        const Addr off = i * kStride;
+        EXPECT_EQ(bulk.ms->read(kA, kBase + off),
+                  twin.ms->read(kA, kBase + off)) << i;
+        EXPECT_EQ(bulk.ms->read(kB, kAliasVa + off),
+                  twin.ms->read(kB, kAliasVa + off)) << i;
+    }
+    EXPECT_NE(before5, values[5]);
+    EXPECT_EQ(bulk.ms->read(2, kA, va5), values[5]);
+    EXPECT_NE(before40, values[40]);
+    EXPECT_EQ(bulk.ms->read(3, kB, alias40), values[40]);
+    EXPECT_EQ(bulk.ms->read(1, kA, kBase), 3u);
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include "sim/mem_system.hh"
 #include "sim/runner.hh"
+#include "sim/system.hh"
 #include "workload/parsec_profiles.hh"
 #include "workload/spec_profiles.hh"
 
@@ -104,6 +105,28 @@ TEST(ChaseRing, IsASingleCycle)
         EXPECT_LT(cur, base + 64 * kLineBytes);
     }
     EXPECT_EQ(cur, base) << "ring must close after visiting every node";
+}
+
+// initWords is what the arrival injector reserves the word store with,
+// so it must count exactly the distinct words Workload::init writes.
+TEST(InitWords, MatchesTheWordsInitWrites)
+{
+    std::vector<WorkloadProfile> profiles;
+    for (const std::string &name : specBenchmarkNames())
+        profiles.push_back(specProfile(name));
+    for (const std::string &name : parsecBenchmarkNames())
+        profiles.push_back(parsecProfile(name));
+    std::uint64_t total = 0;
+    for (const WorkloadProfile &p : profiles) {
+        System sys(SystemConfig::forScheme(Scheme::Baseline,
+                                           std::max(1u, p.threads)));
+        ASSERT_EQ(sys.mem().memory().footprintWords(), 0u) << p.name;
+        buildWorkload(p).init(sys.mem());
+        EXPECT_EQ(initWords(p), sys.mem().memory().footprintWords())
+            << p.name;
+        total += initWords(p);
+    }
+    EXPECT_GT(total, 0u);
 }
 
 // --- behaviour-class checks (cheap end-to-end runs) -------------------------

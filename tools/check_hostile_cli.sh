@@ -3,7 +3,8 @@
 # refused with an ordinary nonzero exit (an error message, not a crash
 # by signal, and not a printed result).
 #
-#   - mtrap_sim --cores 0 is a usage error (exit 1);
+#   - mtrap_sim --cores 0, --instructions 0 and --arrivals 0 are usage
+#     errors (exit 1);
 #   - a JSON document nested 200000 levels deep is a parse error for
 #     mtrap_trace --validate and mtrap_perf --compare-only.
 #
@@ -39,6 +40,10 @@ expect_exit 1 "mtrap_sim --cores 0" \
     --instructions 1000 --warmup 100
 expect_exit 1 "mtrap_sim --cores 0 (no time-sharing)" \
     "$sim" --workload mcf --cores 0 --instructions 1000 --warmup 100
+expect_exit 1 "mtrap_sim --instructions 0" \
+    "$sim" --workload mcf --instructions 0
+expect_exit 1 "mtrap_sim --arrivals 0" \
+    "$sim" --arrivals 0 --cores 4
 
 head -c 200000 /dev/zero | tr '\0' '[' > "$tmp/deep.json"
 expect_exit error "mtrap_trace --validate on deep JSON" \

@@ -14,7 +14,8 @@
  *                        MuonTrap-ClearMisspec | MuonTrap-ParallelL1 |
  *                        InvisiSpec-Spectre | InvisiSpec-Future |
  *                        STT-Spectre | STT-Future   (default MuonTrap)
- *   --instructions N     measured instructions per core (default 100000)
+ *   --instructions N     measured instructions per core, at least 1
+ *                        (default 100000)
  *   --warmup N           warmup instructions per core (default 30000)
  *   --seed S             nonzero: deterministically re-randomise the
  *                        workload generation and replacement seeds (the
@@ -46,7 +47,7 @@
  *
  * Open-system server options (see src/sim/arrival.hh; no --workload —
  * jobs arrive continuously, run to a finite service demand and leave):
- *   --arrivals N         enable server mode: admit N jobs over the run
+ *   --arrivals N         enable server mode: admit N >= 1 jobs over the run
  *                        from a deterministic seeded arrival process,
  *                        then print sojourn/wait latency percentiles,
  *                        occupancy, throughput and deadline misses
@@ -231,6 +232,11 @@ runTool(int argc, char **argv)
             scheme = parseScheme(next());
         } else if (arg == "--instructions") {
             opt.measureInstructions = parseNumber(next());
+            if (opt.measureInstructions == 0) {
+                std::fprintf(stderr, "mtrap_sim: --instructions must be "
+                                     "at least 1\n");
+                usage();
+            }
         } else if (arg == "--warmup") {
             opt.warmupInstructions = parseNumber(next());
         } else if (arg == "--seed") {
@@ -264,6 +270,11 @@ runTool(int argc, char **argv)
         } else if (arg == "--arrivals") {
             server = true;
             arrivals.jobs = parseNumber(next());
+            if (arrivals.jobs == 0) {
+                std::fprintf(stderr, "mtrap_sim: --arrivals must be at "
+                                     "least 1\n");
+                usage();
+            }
         } else if (arg == "--arrival-pattern") {
             const std::string p = next();
             if (p == "poisson")
