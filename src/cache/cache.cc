@@ -32,6 +32,8 @@ cacheMissRate(const void *ctx)
 
 Cache::Cache(const CacheParams &params, StatGroup *parent)
     : params_(params),
+      mshrFree_(std::max(1u, params.mshrs), 0),
+      inflightFills_(kFillsPerMshr * mshrFree_.size() + 1),
       stats_(cacheStatSchema(), params.name, parent),
       hits(&stats_, "hits", "demand hits"),
       misses(&stats_, "misses", "demand misses"),
@@ -59,7 +61,6 @@ Cache::Cache(const CacheParams &params, StatGroup *parent)
     lines_.allocate(sets_, params.assoc);
     repl_ = Replacement::create(params.repl, sets_, params.assoc,
                                 params.seed);
-    mshrFree_.assign(std::max(1u, params.mshrs), 0);
 }
 
 CacheLine &
@@ -222,21 +223,23 @@ Cache::reserveMshr(Addr paddr, Cycle when, Cycle miss_latency)
         }
     }
 
-    // Pick the slot that frees earliest.
-    auto it = std::min_element(mshrFree_.begin(), mshrFree_.end());
+    // Pick the slot that frees earliest, the lowest index on a tie
+    // (the slot array is snapshot state).
+    Cycle &slot = mshrFree_[firstMinIndex(mshrFree_.data(),
+                                          mshrFree_.size())];
     Cycle delay = 0;
-    if (*it > when) {
-        delay = *it - when;
+    if (slot > when) {
+        delay = slot - when;
         ++mshrStalls;
     }
-    *it = when + delay + miss_latency;
-    inflightFills_.put(line, *it);
+    slot = when + delay + miss_latency;
+    inflightFills_.put(line, slot);
 
     // Bound the tracking map (timestamps are not globally monotonic —
     // wrong-path issues run "in the past" — so dropping an entry whose
     // arrival has passed *this* access's time is a semantic decision,
     // not just a space one; keep the historical threshold and filter).
-    if (inflightFills_.size() > 8 * mshrFree_.size()) {
+    if (inflightFills_.size() > kFillsPerMshr * mshrFree_.size()) {
         inflightFills_.eraseIf(
             [when](std::uint64_t, std::uint64_t arrival) {
                 return arrival <= when;

@@ -313,7 +313,11 @@ class Cache
     LineArray lines_;
     std::unique_ptr<Replacement> repl_;
     std::vector<Cycle> mshrFree_;
-    /** Outstanding fills: line number -> data-arrival cycle. */
+    /** reserveMshr drops fills that have already arrived once the map
+     *  holds more than this many per MSHR slot. */
+    static constexpr std::size_t kFillsPerMshr = 8;
+    /** Outstanding fills: line number -> data-arrival cycle. Sized for
+     *  the cleanup bound, so each cleanup refills a small table. */
     FlatWordMap inflightFills_;
 
     StatGroup stats_;

@@ -34,13 +34,12 @@ class FlatWordMap
     /** Keys equal to `kEmptyKey` must never be inserted. */
     static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 
-    explicit FlatWordMap(std::size_t initial_capacity = 1024)
+    /** An empty map with room for `keys` keys before its first rehash
+     *  (capacityFor); the default makes 1024 slots. */
+    explicit FlatWordMap(std::size_t keys = 768)
     {
-        std::size_t cap = 16;
-        while (cap < initial_capacity)
-            cap <<= 1;
-        slots_.assign(cap, Slot{kEmptyKey, 0});
-        mask_ = cap - 1;
+        slots_.assign(capacityFor(keys), Slot{kEmptyKey, 0});
+        mask_ = slots_.size() - 1;
     }
 
     /** Number of stored keys. */

@@ -10,6 +10,7 @@
 #ifndef MTRAP_COMMON_TYPES_HH
 #define MTRAP_COMMON_TYPES_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -95,6 +96,27 @@ log2i(std::uint64_t v)
         ++r;
     }
     return r;
+}
+
+/**
+ * Index of the first minimum of `v[0..n)`, n >= 1: the lowest index
+ * holding the smallest value, std::min_element's tie rule. The loop
+ * only selects, so the compiler emits conditional moves rather than a
+ * data-dependent branch: the earliest-free functional-unit and MSHR
+ * picks run once per simulated op or miss, and a branchy scan
+ * mispredicts often enough to dominate their cost.
+ */
+inline std::size_t
+firstMinIndex(const Cycle *v, std::size_t n)
+{
+    std::size_t best = 0;
+    Cycle min = v[0];
+    for (std::size_t i = 1; i < n; ++i) {
+        const bool lt = v[i] < min;
+        best = lt ? i : best;
+        min = lt ? v[i] : min;
+    }
+    return best;
 }
 
 } // namespace mtrap

@@ -626,10 +626,12 @@ Core::allocFetchSlot()
 Cycle
 Core::fuAvailable(FuPool &units, Cycle ready)
 {
-    auto it = std::min_element(units.until.begin(),
-                               units.until.begin() + units.count);
-    const Cycle start = std::max(*it, ready);
-    *it = start + 1; // units accept one op per cycle (pipelined)
+    // The earliest-free unit, the lowest index on a tie (the `until`
+    // arrays are snapshot state).
+    Cycle &unit = units.until[firstMinIndex(units.until.data(),
+                                            units.count)];
+    const Cycle start = std::max(unit, ready);
+    unit = start + 1; // units accept one op per cycle (pipelined)
     return start;
 }
 

@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "cache/cache.hh"
+#include "common/rng.hh"
 
 namespace mtrap
 {
@@ -246,6 +251,111 @@ TEST(Cache, MshrMergeArrivalMatchesFirstFill)
     // on its own; it must be delayed to the shared arrival at 150.
     EXPECT_EQ(c.reserveMshr(0x0000, 120, 10), 20u);
 }
+
+/** A cache whose MSHR slots and in-flight fills a test can read. */
+class MshrProbe : public Cache
+{
+  public:
+    using Cache::Cache;
+    const std::vector<Cycle> &slots() const { return mshrFree_; }
+    std::map<Addr, Cycle> fills() const
+    {
+        std::map<Addr, Cycle> m;
+        inflightFills_.forEach(
+            [&](std::uint64_t k, std::uint64_t v) { m[k] = v; });
+        return m;
+    }
+};
+
+/** The MSHR timing model written plainly: first-minimum slot by
+ *  std::min_element, in-flight fills in a std::map, and past arrivals
+ *  dropped once more than 8 fills per slot are tracked. */
+struct MshrModel
+{
+    std::vector<Cycle> slots;
+    std::map<Addr, Cycle> fills;
+    std::uint64_t stalls = 0, merges = 0, cleanups = 0;
+
+    explicit MshrModel(unsigned mshrs) : slots(mshrs, 0) {}
+
+    Cycle reserve(Addr paddr, Cycle when, Cycle latency)
+    {
+        const Addr line = lineNum(paddr);
+        auto f = fills.find(line);
+        if (f != fills.end() && f->second > when) {
+            ++merges;
+            return f->second > when + latency
+                       ? f->second - when - latency
+                       : 0;
+        }
+        auto it = std::min_element(slots.begin(), slots.end());
+        Cycle delay = 0;
+        if (*it > when) {
+            delay = *it - when;
+            ++stalls;
+        }
+        *it = when + delay + latency;
+        fills[line] = *it;
+        if (fills.size() > 8 * slots.size()) {
+            ++cleanups;
+            std::erase_if(fills,
+                          [when](const auto &kv) {
+                              return kv.second <= when;
+                          });
+        }
+        return delay;
+    }
+};
+
+class MshrTimingTest : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(MshrTimingTest, MatchesReferenceModel)
+{
+    const unsigned mshrs = GetParam();
+    CacheParams p = smallCache();
+    p.mshrs = mshrs;
+    StatGroup g("g");
+    MshrProbe c(p, &g);
+    MshrModel model(mshrs);
+
+    // Issue times mostly advance but sometimes step back, as wrong-path
+    // issues do; lines come from a pool small enough that misses to an
+    // in-flight line (merges) are common. Times are multiples of 10
+    // cycles, so ties (equally free slots, an arrival equal to the
+    // issue time) are common too, and the load keeps roughly half the
+    // misses waiting for a slot.
+    Rng r(1000 + mshrs);
+    const std::uint64_t pool = 12 * mshrs;
+    Cycle when = 1000;
+    for (unsigned i = 0; i < 20000; ++i) {
+        if (r.below(16) == 0)
+            when -= std::min<Cycle>(when, 10 * r.below(68 / mshrs + 5));
+        else
+            when += 10 * r.below(44 / mshrs + 2);
+        const Addr paddr = r.below(pool) * kLineBytes + r.below(kLineBytes);
+        const Cycle latency = 10 * (2 + r.below(30));
+        ASSERT_EQ(c.reserveMshr(paddr, when, latency),
+                  model.reserve(paddr, when, latency))
+            << "call " << i;
+        if (i % 1000 == 0) {
+            ASSERT_EQ(c.slots(), model.slots) << "call " << i;
+            ASSERT_EQ(c.fills(), model.fills) << "call " << i;
+        }
+    }
+    EXPECT_EQ(c.slots(), model.slots);
+    EXPECT_EQ(c.fills(), model.fills);
+    EXPECT_EQ(c.mshrStalls.value(), model.stalls);
+    EXPECT_EQ(c.mshrMerges.value(), model.merges);
+    // Every path was exercised.
+    EXPECT_GT(model.stalls, 1000u);
+    EXPECT_GT(model.merges, 1000u);
+    EXPECT_GT(model.cleanups, 50u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Slots, MshrTimingTest,
+                         ::testing::Values(1u, 4u, 16u));
 
 TEST(Cache, StatsCountFills)
 {

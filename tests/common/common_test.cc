@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common runtime: types helpers, logging format,
- * statistics, the deterministic RNG and the flat word map.
+ * statistics, the deterministic RNG, the first-minimum pick and the
+ * flat word map.
  */
 
 #include <gtest/gtest.h>
@@ -250,6 +251,46 @@ TEST(Rng, RoughlyUniform)
         EXPECT_GT(b, n / 4 - n / 20);
         EXPECT_LT(b, n / 4 + n / 20);
     }
+}
+
+// --- firstMinIndex ----------------------------------------------------------
+
+std::size_t
+minElementIndex(const std::vector<Cycle> &v)
+{
+    return static_cast<std::size_t>(
+        std::min_element(v.begin(), v.end()) - v.begin());
+}
+
+TEST(FirstMinIndex, MatchesMinElementOnSeededArrays)
+{
+    // Values from a small range, so ties for the minimum are common.
+    Rng r(21);
+    std::vector<Cycle> v;
+    for (unsigned trial = 0; trial < 20000; ++trial) {
+        v.resize(1 + r.below(16));
+        for (Cycle &x : v)
+            x = r.below(4);
+        ASSERT_EQ(firstMinIndex(v.data(), v.size()), minElementIndex(v))
+            << "trial " << trial;
+    }
+}
+
+TEST(FirstMinIndex, TiesAndEdgesMatchMinElement)
+{
+    const std::vector<std::vector<Cycle>> cases = {
+        {7},                            // one element
+        {5, 5, 5, 5, 5, 5},             // all equal: first index
+        {9, 8, 7, 6, 5, 4, 3, 2},       // minimum at the last index
+        {4, 1, 3, 1, 2, 1},             // minimum repeated
+        {kCycleNever, kCycleNever - 1}, // full unsigned range
+        {0, kCycleNever, 0},
+    };
+    for (const std::vector<Cycle> &v : cases)
+        EXPECT_EQ(firstMinIndex(v.data(), v.size()), minElementIndex(v));
+    EXPECT_EQ(firstMinIndex(cases[1].data(), cases[1].size()), 0u);
+    EXPECT_EQ(firstMinIndex(cases[2].data(), cases[2].size()), 7u);
+    EXPECT_EQ(firstMinIndex(cases[3].data(), cases[3].size()), 1u);
 }
 
 // --- FlatWordMap ------------------------------------------------------------

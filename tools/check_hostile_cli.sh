@@ -4,7 +4,8 @@
 # by signal, and not a printed result).
 #
 #   - mtrap_sim --cores 0, --instructions 0 and --arrivals 0 are usage
-#     errors (exit 1);
+#     errors (exit 1), and so is an arrival-process flag without
+#     --arrivals;
 #   - a JSON document nested 200000 levels deep is a parse error for
 #     mtrap_trace --validate and mtrap_perf --compare-only.
 #
@@ -44,6 +45,12 @@ expect_exit 1 "mtrap_sim --instructions 0" \
     "$sim" --workload mcf --instructions 0
 expect_exit 1 "mtrap_sim --arrivals 0" \
     "$sim" --arrivals 0 --cores 4
+expect_exit 1 "mtrap_sim --sleep-period without --arrivals" \
+    "$sim" --workload mcf --instructions 2000 --sleep-period 50
+expect_exit 1 "mtrap_sim --arrival-mean without --arrivals" \
+    "$sim" --workload mcf --instructions 2000 --arrival-mean 500
+expect_exit 1 "mtrap_sim --deadline-factor without --arrivals" \
+    "$sim" --workload mcf --instructions 2000 --deadline-factor 3
 
 head -c 200000 /dev/zero | tr '\0' '[' > "$tmp/deep.json"
 expect_exit error "mtrap_trace --validate on deep JSON" \

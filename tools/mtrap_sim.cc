@@ -46,7 +46,8 @@
  *                        schedule visualisation
  *
  * Open-system server options (see src/sim/arrival.hh; no --workload —
- * jobs arrive continuously, run to a finite service demand and leave):
+ * jobs arrive continuously, run to a finite service demand and leave;
+ * each flag after --arrivals is a usage error without it):
  *   --arrivals N         enable server mode: admit N >= 1 jobs over the run
  *                        from a deterministic seeded arrival process,
  *                        then print sojourn/wait latency percentiles,
@@ -90,10 +91,12 @@
  *                        is bit-identical to the monolithic run
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -156,6 +159,20 @@ parseNumber(const std::string &s)
     return v;
 }
 
+/** True for the flags that shape the arrival process: they only mean
+ *  something in server mode (--arrivals). */
+bool
+isArrivalFlag(const std::string &arg)
+{
+    static const char *const kFlags[] = {
+        "--arrival-pattern", "--arrival-mean",    "--arrival-seed",
+        "--arrival-mix",     "--burst-size",      "--burst-spacing",
+        "--service-min",     "--service-max",     "--deadline-factor",
+        "--max-weight",      "--sleep-period",    "--sleep-duration"};
+    return std::find(std::begin(kFlags), std::end(kFlags), arg)
+           != std::end(kFlags);
+}
+
 /** Export whatever tracing/time-series outputs the flags asked for. */
 void
 writeTraceOutputs(System &sys, const StatSeries *series,
@@ -207,9 +224,12 @@ runTool(int argc, char **argv)
     std::string trace_path, trace_csv_path, stats_out_path;
     bool server = false;
     ArrivalParams arrivals;
+    std::string arrival_flag; // the first arrival-process flag seen
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        if (arrival_flag.empty() && isArrivalFlag(arg))
+            arrival_flag = arg;
         auto next = [&]() -> std::string {
             if (i + 1 >= argc)
                 usage();
@@ -334,6 +354,12 @@ runTool(int argc, char **argv)
         } else {
             usage();
         }
+    }
+    if (!arrival_flag.empty() && !server) {
+        std::fprintf(stderr, "mtrap_sim: %s shapes the arrival process "
+                             "and needs --arrivals\n",
+                     arrival_flag.c_str());
+        usage();
     }
     if (workload_name.empty() && !server)
         usage();
