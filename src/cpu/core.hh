@@ -84,11 +84,11 @@ struct CoreParams
     Cycle contextSwitchCost = 1000;
     CoreDefense defense = CoreDefense::None;
     /**
-     * Fetch through the pre-decoded µop stream (isa/decoded.hh). The
-     * decoded path is a bit-identical re-expression of the reference
-     * interpreter; `false` selects the retained reference path, which
-     * exists for the differential fuzzer (tests/fuzz/) and as the
-     * semantic ground truth.
+     * Fetch through the pre-decoded µop stream (isa/decoded.hh).
+     * `false` runs the same fetch body over the program's MicroOps
+     * instead (the reference interpreter), with bit-identical results;
+     * it exists for the differential fuzzer (tests/fuzz/) and as the
+     * semantic ground truth for decode lowering.
      */
     bool decodedFetch = true;
     BranchPredictorParams bpred;
@@ -293,20 +293,26 @@ class Core
     };
 
     // --- pipeline helpers ------------------------------------------------
-    /** Reference interpreter fetch path (ground truth, MicroOp-driven). */
-    void fetchOne();
-    /** Decoded fetch path: per-kind dispatch over the DecodedOp stream.
-     *  Must stay timing- and stat-identical to fetchOne — the
-     *  differential fuzzer (tests/fuzz/) enforces it. */
-    void fetchOneDecoded();
+    /**
+     * Fetch-execute the op at ctx_.pc: the one fetch body, instantiated
+     * over the pre-decoded stream (DecodedOp, the default) and over the
+     * program's own MicroOps (the reference interpreter). Overloads in
+     * core.cc supply the facts that depend on the op's form; the
+     * MicroOp ones use nothing from isa/decoded, so the differential
+     * fuzzer (tests/fuzz/) checks decode lowering independently.
+     */
+    template <class OpT> void fetchStep(const OpT *ops);
+    /** Functional-unit pool of an Alu-kind op. */
+    FuPool &aluPool(const DecodedOp &op);
+    FuPool &aluPool(const MicroOp &op);
     Cycle allocFetchSlot();
     Cycle fuAvailable(FuPool &units, Cycle ready);
     Cycle regReady(std::uint8_t r) const;
     Cycle regTaintClear(std::uint8_t r) const;
     std::uint64_t regValue(std::uint8_t r) const;
     void writeReg(std::uint8_t r, std::uint64_t v, Cycle done, Cycle taint);
-    /** Functional helpers shared by both fetch paths: MicroOp and
-     *  DecodedOp expose the same operand field names. */
+    /** Functional helpers of the fetch body: MicroOp and DecodedOp
+     *  expose the same operand field names. */
     template <class Op> Addr effectiveAddress(const Op &op) const;
     template <class Op> bool evalBranch(const Op &op) const;
     template <class Op> std::uint64_t aluResult(const Op &op) const;
@@ -331,7 +337,7 @@ class Core
     void chargeIfetchNewLine(Addr va, WinEntry &e);
 
     /** Bind ctx_.program's decoded stream (decoding and caching it on
-     *  first sight) or clear it on the reference path. */
+     *  first sight) or clear it for the reference interpreter. */
     void bindDecoded();
 
     /**
@@ -426,7 +432,7 @@ class Core
         return winBuf_[(winHead_ + winCount_ - 1) & winMask_];
     }
     /** The (not yet pushed) slot the next fetched entry will occupy;
-     *  fetchOne builds the entry in place and appendEntry publishes it
+     *  fetchStep builds the entry in place and appendEntry publishes it
      *  by bumping the count — no 72-byte copy per instruction. */
     WinEntry &winNextSlot()
     {
@@ -461,7 +467,7 @@ class Core
      */
     static constexpr std::uint64_t kNoCommitStop = ~std::uint64_t{0};
     std::uint64_t commitStop_ = kNoCommitStop;
-    /** Set when fetchOne() could not proceed without exceeding the
+    /** Set when fetchStep() could not proceed without exceeding the
      *  commit budget (serializing op or structural stall at the budget
      *  boundary); run() returns instead of spinning. */
     bool budgetStall_ = false;

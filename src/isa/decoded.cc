@@ -61,8 +61,8 @@ decodeProgram(const Program &prog)
         switch (o.kind) {
           case OpKind::BraAlways:
           case OpKind::BraCond:
-            // Same arithmetic as the reference path's taken_pc; stored
-            // over the now-consumed displacement.
+            // Same arithmetic as the reference interpreter's branch
+            // target; stored over the now-consumed displacement.
             o.imm = static_cast<std::int64_t>(pc) + op.imm;
             break;
           case OpKind::Call:

@@ -22,10 +22,12 @@
  *  - operand indices, immediate, and addressing fields are copied so
  *    the hot loop touches exactly one cache line stream.
  *
- * The decoded path is a pure re-expression of Core::fetchOne: it must
- * produce bit-identical timing and statistics. tests/fuzz/ holds the
- * differential fuzzer that enforces this against the retained reference
- * interpreter (CoreParams::decodedFetch = false).
+ * Core::fetchStep is one fetch body instantiated over this stream and
+ * over the raw MicroOps (the reference interpreter, selected by
+ * CoreParams::decodedFetch = false). The raw instantiation derives the
+ * same facts from microop.hh alone, so the lowering here must produce
+ * bit-identical timing and statistics; tests/fuzz/ holds the
+ * differential fuzzer that enforces it.
  */
 
 #ifndef MTRAP_ISA_DECODED_HH
@@ -38,8 +40,8 @@
 namespace mtrap
 {
 
-/** Dispatch class of one decoded op — the cases Core::fetchOneDecoded
- *  switches over. Values are dense so the compiler emits a jump table. */
+/** Dispatch class of one op — the cases Core::fetchStep switches over.
+ *  Values are dense so the compiler emits a jump table. */
 enum class OpKind : std::uint8_t
 {
     Nop,

@@ -7,7 +7,7 @@
  *
  * Under Scheme::Baseline every attack must leak; under Scheme::MuonTrap
  * every attack must be blocked — the security test suite and the
- * security_matrix bench assert exactly that.
+ * security suite (mtrap_batch --suite security) assert exactly that.
  *
  * Choreography is driven from C++ (prime, run victim gadget, measure)
  * rather than from a single program, mirroring how the attacks are

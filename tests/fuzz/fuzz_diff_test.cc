@@ -1,14 +1,19 @@
 /**
  * @file
- * Differential fuzzer for the pre-decoded fetch path.
+ * Differential fuzzer for decode lowering (isa/decoded.hh).
  *
- * The decoded fetch path (Core::fetchOneDecoded over isa/decoded.hh) is
- * required to be a *bit-identical* re-expression of the retained
- * reference interpreter (Core::fetchOne). This fuzzer generates seeded
- * random programs exercising every op type — ALU (add/sub/mul/div/fp,
- * immediates, shifts), loads and stores with indexed addressing,
- * conditional branches over every condition, BTB-predicted indirect
- * jumps with data-dependent targets, call/ret pairs, and the
+ * The core has one fetch body, Core::fetchStep, instantiated over the
+ * pre-decoded stream and over the program's raw MicroOps (the reference
+ * interpreter). The two instantiations differ only in where each op's
+ * facts come from: decodeProgram()'s precomputed kind, unit pool,
+ * latency and branch target, or the same facts derived from microop.hh
+ * semantics. Any lowering bug therefore shows up as a difference
+ * between the two runs, which must be *bit-identical*. This fuzzer
+ * generates seeded random programs exercising every op type — ALU
+ * (add/sub/mul/div/fp, immediates, shifts), loads and stores with
+ * indexed addressing, conditional branches over every condition,
+ * BTB-predicted indirect jumps with data-dependent targets, call/ret
+ * pairs, and the
  * serializing protection-domain ops — then runs each program twice on
  * otherwise-identical systems (CoreParams::decodedFetch on/off) and
  * asserts that:
@@ -439,8 +444,8 @@ INSTANTIATE_TEST_SUITE_P(
 /**
  * Oracle self-test: prove the differential fuzzer would actually catch
  * a latency bug in the delay-on-miss leg. MTRAP_FUZZ_DELAY_MUTATION
- * perturbs the *decoded* path's delayed-load completion by one cycle
- * (core.cc's delayMutationHook); the fuzzer must flag the divergence
+ * perturbs the *decoded* instantiation's delayed-load completion by one
+ * cycle (core.cc's delayMutationHook); the fuzzer must flag the divergence
  * within a handful of seeds. If this fails, the DelayOnMiss rotation
  * above is running on a code path the programs never reach — dead
  * coverage, not real coverage.

@@ -4,8 +4,9 @@
 # by signal, and not a printed result).
 #
 #   - mtrap_sim --cores 0, --instructions 0 and --arrivals 0 are usage
-#     errors (exit 1), and so is an arrival-process flag without
-#     --arrivals;
+#     errors (exit 1), and so are an arrival-process flag without
+#     --arrivals, a scheduler flag without --timeshare or --arrivals,
+#     and a filter-cache flag under a scheme without a filter cache;
 #   - a JSON document nested 200000 levels deep is a parse error for
 #     mtrap_trace --validate and mtrap_perf --compare-only.
 #
@@ -51,6 +52,18 @@ expect_exit 1 "mtrap_sim --arrival-mean without --arrivals" \
     "$sim" --workload mcf --instructions 2000 --arrival-mean 500
 expect_exit 1 "mtrap_sim --deadline-factor without --arrivals" \
     "$sim" --workload mcf --instructions 2000 --deadline-factor 3
+for flag in "--cores 2" "--quantum 100" --no-gang --no-migrate --affinity \
+            "--sched-trace $tmp/sched.csv"; do
+    # shellcheck disable=SC2086  # the flag and its value are two words
+    expect_exit 1 "mtrap_sim $flag without --timeshare/--arrivals" \
+        "$sim" --workload mcf --instructions 2000 --warmup 200 $flag
+done
+expect_exit 1 "mtrap_sim --filter-size under Baseline" \
+    "$sim" --workload mcf --instructions 2000 --warmup 200 \
+    --filter-size 4096 --scheme Baseline
+expect_exit 1 "mtrap_sim --filter-assoc under STT-Spectre" \
+    "$sim" --workload mcf --instructions 2000 --warmup 200 \
+    --scheme STT-Spectre --filter-assoc 8
 
 head -c 200000 /dev/zero | tr '\0' '[' > "$tmp/deep.json"
 expect_exit error "mtrap_trace --validate on deep JSON" \

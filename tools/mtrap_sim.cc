@@ -22,13 +22,17 @@
  *                        same path harness jobs use); 0 = configured
  *                        seeds (default)
  *   --filter-size BYTES  data filter-cache size (default 2048)
- *   --filter-assoc N     data filter-cache associativity (default 4)
+ *   --filter-assoc N     data filter-cache associativity (default 4);
+ *                        both are usage errors under a scheme without
+ *                        a filter cache (Baseline, InvisiSpec-*, STT-*,
+ *                        DelayOnMiss)
  *   --baseline           also run the unprotected baseline and report
  *                        normalised execution time
  *   --stats              dump full statistics (text)
  *   --json               dump full statistics (JSON)
  *
- * Gang-scheduler (multiprogramming) options:
+ * Gang-scheduler (multiprogramming) options (each is a usage error
+ * without --timeshare or --arrivals):
  *   --timeshare NAME     add another workload to time-share the machine
  *                        with --workload (repeatable); enables the gang
  *                        scheduler, each job in its own address space
@@ -92,6 +96,7 @@
  */
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -104,6 +109,7 @@
 #include "common/checked_io.hh"
 #include "common/log.hh"
 #include "common/parse.hh"
+#include "defense/scheme.hh"
 #include "harness/job.hh"
 #include "sim/arrival.hh"
 #include "sim/json_stats.hh"
@@ -159,18 +165,30 @@ parseNumber(const std::string &s)
     return v;
 }
 
-/** True for the flags that shape the arrival process: they only mean
- *  something in server mode (--arrivals). */
+/** Flags that shape the arrival process: they only mean something in
+ *  server mode (--arrivals). */
+constexpr const char *kArrivalFlags[] = {
+    "--arrival-pattern", "--arrival-mean",    "--arrival-seed",
+    "--arrival-mix",     "--burst-size",      "--burst-spacing",
+    "--service-min",     "--service-max",     "--deadline-factor",
+    "--max-weight",      "--sleep-period",    "--sleep-duration"};
+
+/** Flags that configure the gang scheduler: they only mean something
+ *  when it runs (--timeshare or --arrivals). */
+constexpr const char *kSchedulerFlags[] = {
+    "--cores", "--quantum", "--no-gang", "--no-migrate", "--affinity",
+    "--sched-trace"};
+
+/** Flags that shape the data filter cache: they only mean something
+ *  under a scheme that has one. */
+constexpr const char *kFilterFlags[] = {"--filter-size", "--filter-assoc"};
+
+template <std::size_t N>
 bool
-isArrivalFlag(const std::string &arg)
+isOneOf(const std::string &arg, const char *const (&flags)[N])
 {
-    static const char *const kFlags[] = {
-        "--arrival-pattern", "--arrival-mean",    "--arrival-seed",
-        "--arrival-mix",     "--burst-size",      "--burst-spacing",
-        "--service-min",     "--service-max",     "--deadline-factor",
-        "--max-weight",      "--sleep-period",    "--sleep-duration"};
-    return std::find(std::begin(kFlags), std::end(kFlags), arg)
-           != std::end(kFlags);
+    return std::find(std::begin(flags), std::end(flags), arg)
+           != std::end(flags);
 }
 
 /** Export whatever tracing/time-series outputs the flags asked for. */
@@ -224,12 +242,17 @@ runTool(int argc, char **argv)
     std::string trace_path, trace_csv_path, stats_out_path;
     bool server = false;
     ArrivalParams arrivals;
-    std::string arrival_flag; // the first arrival-process flag seen
+    // The first flag seen of each mode-bound group.
+    std::string arrival_flag, sched_flag, filter_flag;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arrival_flag.empty() && isArrivalFlag(arg))
+        if (arrival_flag.empty() && isOneOf(arg, kArrivalFlags))
             arrival_flag = arg;
+        if (sched_flag.empty() && isOneOf(arg, kSchedulerFlags))
+            sched_flag = arg;
+        if (filter_flag.empty() && isOneOf(arg, kFilterFlags))
+            filter_flag = arg;
         auto next = [&]() -> std::string {
             if (i + 1 >= argc)
                 usage();
@@ -361,14 +384,22 @@ runTool(int argc, char **argv)
                      arrival_flag.c_str());
         usage();
     }
+    if (!sched_flag.empty() && !server && timeshare.empty()) {
+        std::fprintf(stderr, "mtrap_sim: %s configures the scheduler "
+                             "and needs --timeshare or --arrivals\n",
+                     sched_flag.c_str());
+        usage();
+    }
+    if (!filter_flag.empty() && !schemeMtConfig(scheme).enabled) {
+        std::fprintf(stderr, "mtrap_sim: %s shapes the data filter "
+                             "cache, which scheme %s does not have\n",
+                     filter_flag.c_str(), schemeName(scheme));
+        usage();
+    }
     if (workload_name.empty() && !server)
         usage();
     if (!stats_out_path.empty() && !opt.statsInterval)
         fatal("--stats-out needs --stats-interval");
-    if (!server && timeshare.empty() &&
-        (cores || !sched.gang || !sched.migrate || sched.affinity
-         || sched.trace))
-        warn("scheduler flags have no effect without --timeshare");
 
     // Open-system server mode: no --workload, jobs come from the
     // arrival process and run to their service demands.
